@@ -1,12 +1,6 @@
 #include "bench_support.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <sstream>
-
 namespace graphm::bench {
-
-namespace fs = std::filesystem;
 
 BenchResult summarize(const runtime::RunMetrics& m) {
   BenchResult r;
@@ -34,66 +28,16 @@ BenchResult summarize(const runtime::RunMetrics& m) {
   return r;
 }
 
-namespace {
-
-std::vector<double*> fields(BenchResult& r) {
-  return {&r.total_s,        &r.makespan_s,   &r.compute_s,    &r.io_stall_s,
-          &r.mem_stall_s,    &r.llc_accesses, &r.llc_misses,   &r.llc_swapped_gb,
-          &r.llc_miss_rate,  &r.io_read_gb,   &r.disk_read_gb, &r.peak_mem_mb,
-          &r.peak_graph_mb,  &r.peak_job_mb,  &r.peak_table_mb, &r.avg_lpi,
-          &r.avg_job_time_s, &r.loads,        &r.attaches,     &r.suspensions,
-          &r.barriers};
-}
-
-bool load_result(const std::string& path, BenchResult& r) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  bool ok = true;
-  for (double* field : fields(r)) {
-    if (std::fscanf(f, "%lf", field) != 1) {
-      ok = false;
-      break;
-    }
-  }
-  std::fclose(f);
-  return ok;
-}
-
-void save_result(const std::string& path, BenchResult r) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return;
-  for (double* field : fields(r)) std::fprintf(f, "%.17g\n", *field);
-  std::fclose(f);
-}
-
-}  // namespace
-
 BenchResult run_scheme(runtime::Scheme scheme, const std::string& dataset,
-                       std::size_t requested_jobs, const std::string& tag,
-                       const Customize& customize) {
+                       std::size_t requested_jobs, const Customize& customize) {
   const double scale = bench_scale();
-  const std::size_t num_jobs = bench_jobs_for(dataset, requested_jobs);
-
-  std::ostringstream key;
-  key << "result_" << scheme_name(scheme) << "_" << dataset << "_" << num_jobs << "_"
-      << scale << (tag.empty() ? "" : "_" + tag);
-  const fs::path dir = fs::path(graph::dataset_cache_dir()) / "bench_results";
-  fs::create_directories(dir);
-  const std::string cache_path = (dir / (key.str() + ".txt")).string();
-
-  const bool no_cache = std::getenv("GRAPHM_NO_CACHE") != nullptr;
-  BenchResult cached;
-  if (!no_cache && load_result(cache_path, cached)) return cached;
-
   const grid::GridStore store = grid::open_dataset_grid(dataset, kPartitions, scale);
-  auto jobs = runtime::paper_mix(num_jobs, store.meta().num_vertices, 0xBEEF);
+  auto jobs = runtime::paper_mix(bench_jobs_for(dataset, requested_jobs),
+                                 store.meta().num_vertices, 0xBEEF);
   runtime::ExecutorConfig config;
   config.platform = bench_platform();
   if (customize) customize(config, jobs);
-
-  const BenchResult result = summarize(runtime::run_jobs(scheme, store, jobs, config));
-  if (!no_cache) save_result(cache_path, result);
-  return result;
+  return summarize(runtime::run_jobs(scheme, store, jobs, config));
 }
 
 }  // namespace graphm::bench

@@ -1,6 +1,5 @@
-// Bench support: scheme runner with a disk-backed result cache so the
-// per-figure binaries (which share the same underlying 16-job S/C/M runs)
-// compute each configuration once per cache directory.
+// Bench support: the scheme runner and result summary the per-figure
+// binaries share.
 #pragma once
 
 #include <functional>
@@ -42,12 +41,10 @@ using Customize =
     std::function<void(runtime::ExecutorConfig&, std::vector<algos::JobSpec>&)>;
 
 /// Runs `requested_jobs` of the paper mix on `dataset` under `scheme`,
-/// honouring the shared bench platform/scale. Results are cached on disk
-/// keyed by (scheme, dataset, jobs, scale, tag); pass a distinct `tag`
-/// whenever `customize` changes the configuration. GRAPHM_NO_CACHE=1
-/// disables the cache.
+/// honouring the shared bench platform/scale; `customize` may adjust the
+/// configuration and the job list before the run. Every call runs the
+/// current code: results are never cached.
 BenchResult run_scheme(runtime::Scheme scheme, const std::string& dataset,
-                       std::size_t requested_jobs, const std::string& tag = "",
-                       const Customize& customize = nullptr);
+                       std::size_t requested_jobs, const Customize& customize = nullptr);
 
 }  // namespace graphm::bench

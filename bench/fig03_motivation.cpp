@@ -26,7 +26,7 @@ int main() {
 
   // Warm the host's file cache and the dataset files so the 1-job runs are
   // not polluted by one-time cold costs.
-  run_scheme(runtime::Scheme::kConcurrent, dataset, 1, "fig03_warmup",
+  run_scheme(runtime::Scheme::kConcurrent, dataset, 1,
              [&](runtime::ExecutorConfig&, std::vector<algos::JobSpec>& specs) {
                specs = runtime::uniform_mix(algos::AlgorithmKind::kBfs, specs.size(), 2, 1);
              });
@@ -34,9 +34,8 @@ int main() {
   for (const auto kind : kinds) {
     double prev_mem = 0, prev_miss = 0, first_lpi = 0, last_lpi = 0, prev_time = 0;
     for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
-      const std::string tag = std::string("fig03_") + algos::to_string(kind);
       const auto r = run_scheme(
-          runtime::Scheme::kConcurrent, dataset, jobs, tag,
+          runtime::Scheme::kConcurrent, dataset, jobs,
           [&](runtime::ExecutorConfig&, std::vector<algos::JobSpec>& specs) {
             const auto uniform = runtime::uniform_mix(
                 kind, specs.size(), graph::load_dataset(dataset, bench_scale()).num_vertices(),

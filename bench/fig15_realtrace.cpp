@@ -23,9 +23,9 @@ int main() {
       config.arrival_offsets_ns.assign(arrivals.begin(),
                                        arrivals.begin() + specs.size());
     };
-    const auto s = run_scheme(runtime::Scheme::kSequential, dataset, 16, "fig15", customize);
-    const auto c = run_scheme(runtime::Scheme::kConcurrent, dataset, 16, "fig15", customize);
-    const auto m = run_scheme(runtime::Scheme::kShared, dataset, 16, "fig15", customize);
+    const auto s = run_scheme(runtime::Scheme::kSequential, dataset, 16, customize);
+    const auto c = run_scheme(runtime::Scheme::kConcurrent, dataset, 16, customize);
+    const auto m = run_scheme(runtime::Scheme::kShared, dataset, 16, customize);
 
     table.add_row({dataset, util::TablePrinter::fmt(1.0),
                    util::TablePrinter::fmt(c.total_s / s.total_s),

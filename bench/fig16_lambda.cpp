@@ -15,15 +15,14 @@ int main() {
   double first_speedup = 0.0;
   double last_speedup = 0.0;
   for (const double lambda : {2.0, 4.0, 6.0, 8.0, 10.0}) {
-    const std::string tag = "fig16_l" + std::to_string(static_cast<int>(lambda));
     const auto customize = [&](runtime::ExecutorConfig& config,
                                std::vector<algos::JobSpec>& specs) {
       config.arrival_offsets_ns =
           runtime::poisson_arrivals(specs.size(), lambda, 40'000'000, 7);
     };
-    const auto s = run_scheme(runtime::Scheme::kSequential, "ukunion_s", 8, tag, customize);
-    const auto c = run_scheme(runtime::Scheme::kConcurrent, "ukunion_s", 8, tag, customize);
-    const auto m = run_scheme(runtime::Scheme::kShared, "ukunion_s", 8, tag, customize);
+    const auto s = run_scheme(runtime::Scheme::kSequential, "ukunion_s", 8, customize);
+    const auto c = run_scheme(runtime::Scheme::kConcurrent, "ukunion_s", 8, customize);
+    const auto m = run_scheme(runtime::Scheme::kShared, "ukunion_s", 8, customize);
     const double speedup = s.total_s / m.total_s;
     table.add_row({util::TablePrinter::fmt(lambda, 0), util::TablePrinter::fmt(1.0),
                    util::TablePrinter::fmt(c.total_s / s.total_s),

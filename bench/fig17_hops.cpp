@@ -28,15 +28,13 @@ int main() {
   int far_count = 0;
   for (const auto kind : {algos::AlgorithmKind::kBfs, algos::AlgorithmKind::kSssp}) {
     for (std::uint32_t hops = 1; hops <= 5; ++hops) {
-      const std::string tag =
-          std::string("fig17_") + algos::to_string(kind) + "_h" + std::to_string(hops);
       const auto customize = [&](runtime::ExecutorConfig&,
                                  std::vector<algos::JobSpec>& specs) {
         specs = runtime::rooted_mix(kind, specs.size(), levels, hops, 1000 + hops);
       };
-      const auto s = run_scheme(runtime::Scheme::kSequential, dataset, 16, tag, customize);
-      const auto c = run_scheme(runtime::Scheme::kConcurrent, dataset, 16, tag, customize);
-      const auto m = run_scheme(runtime::Scheme::kShared, dataset, 16, tag, customize);
+      const auto s = run_scheme(runtime::Scheme::kSequential, dataset, 16, customize);
+      const auto c = run_scheme(runtime::Scheme::kConcurrent, dataset, 16, customize);
+      const auto m = run_scheme(runtime::Scheme::kShared, dataset, 16, customize);
       const double speedup = s.total_s / m.total_s;
       table.add_row({algos::to_string(kind), std::to_string(hops),
                      util::TablePrinter::fmt(1.0),

@@ -15,7 +15,7 @@ int main() {
   int count = 0;
   for (const std::string& dataset : bench_datasets()) {
     const auto without = run_scheme(
-        runtime::Scheme::kShared, dataset, 16, "fig18_nosched",
+        runtime::Scheme::kShared, dataset, 16,
         [](runtime::ExecutorConfig& config, std::vector<algos::JobSpec>&) {
           config.graphm.use_scheduling = false;
         });

@@ -21,10 +21,9 @@ int main() {
   std::vector<double> speedups;
   double single_gap = 0.0;
   for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
-    const std::string tag = "fig19_" + std::to_string(jobs);
-    const auto s = run_scheme(runtime::Scheme::kSequential, dataset, jobs, tag, customize);
-    const auto c = run_scheme(runtime::Scheme::kConcurrent, dataset, jobs, tag, customize);
-    const auto m = run_scheme(runtime::Scheme::kShared, dataset, jobs, tag, customize);
+    const auto s = run_scheme(runtime::Scheme::kSequential, dataset, jobs, customize);
+    const auto c = run_scheme(runtime::Scheme::kConcurrent, dataset, jobs, customize);
+    const auto m = run_scheme(runtime::Scheme::kShared, dataset, jobs, customize);
     const double speedup = s.total_s / m.total_s;
     table.add_row({std::to_string(jobs), util::TablePrinter::fmt(s.total_s, 2),
                    util::TablePrinter::fmt(c.total_s, 2),

@@ -5,6 +5,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "util/atomic_file.hpp"
+
 namespace graphm::graph {
 
 namespace {
@@ -51,18 +53,14 @@ std::uint32_t EdgeList::max_out_degree() const {
 }
 
 void EdgeList::save(const std::string& path) const {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) throw std::runtime_error("EdgeList::save: cannot open " + path);
   FileHeader header;
   header.num_vertices = num_vertices_;
   header.num_edges = edges_.size();
-  if (std::fwrite(&header, sizeof(header), 1, f.get()) != 1) {
-    throw std::runtime_error("EdgeList::save: header write failed: " + path);
-  }
-  if (!edges_.empty() &&
-      std::fwrite(edges_.data(), sizeof(Edge), edges_.size(), f.get()) != edges_.size()) {
-    throw std::runtime_error("EdgeList::save: payload write failed: " + path);
-  }
+  util::write_file_atomically(path, [&](std::FILE* f) {
+    return std::fwrite(&header, sizeof(header), 1, f) == 1 &&
+           (edges_.empty() ||
+            std::fwrite(edges_.data(), sizeof(Edge), edges_.size(), f) == edges_.size());
+  });
 }
 
 EdgeList EdgeList::load(const std::string& path) {

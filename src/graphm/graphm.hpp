@@ -9,13 +9,14 @@
 //
 // The engine code is unchanged between the -S/-C and -M schemes except for
 // which PartitionLoader it is handed — exactly the integration story of the
-// paper's Figure 6.
+// paper's Figure 6. The chunk lock-step of Section 3.4.2 is modeled by the
+// sharing controller's per-round access log (see sharing_controller.hpp), so
+// the loader needs no chunk-boundary hooks.
 #pragma once
 
 #include <memory>
 
 #include "graphm/sharing_controller.hpp"
-#include "graphm/sync_manager.hpp"
 #include "grid/loader.hpp"
 
 namespace graphm::core {
@@ -40,24 +41,20 @@ class GraphM {
   [[nodiscard]] std::uint64_t metadata_bytes() const;
 
   /// Registers a job and returns its Sharing() loader. One loader per job
-  /// thread; the loader routes register_iteration/acquire/release through the
-  /// sharing controller and feeds chunk timings to the sync manager.
+  /// thread; the loader routes register_iteration/acquire/release/
+  /// job_finished through the sharing controller.
   std::unique_ptr<grid::PartitionLoader> make_loader(std::uint32_t job_id);
 
   [[nodiscard]] SharingController& controller() { return controller_; }
   [[nodiscard]] const SharingController& controller() const { return controller_; }
-  [[nodiscard]] SyncManager& sync() { return sync_; }
-  [[nodiscard]] const SyncManager& sync() const { return sync_; }
   [[nodiscard]] const storage::PartitionedStore& store() const { return store_; }
 
  private:
   const storage::PartitionedStore& store_;
   sim::Platform& platform_;
-  GraphMOptions options_;
   std::size_t chunk_bytes_ = 0;
   std::vector<ChunkTable> chunk_tables_;
   sim::TrackedAllocation tables_tracking_;
-  SyncManager sync_;
   SharingController controller_;
   bool initialized_ = false;
 };

@@ -13,7 +13,7 @@
 namespace graphm::core {
 
 // GRAPHM_TRACE_SHARING=1 streams every protocol transition (register /
-// advance / load / attach / suspend / barrier / detach) to stderr — the tool
+// advance / load / attach / suspend / release / detach) to stderr — the tool
 // that pinpoints lockstep bugs like a former round member re-attaching
 // mid-round. One cached env lookup; disabled it costs a branch. The same
 // transitions also feed the obs tracer as instants (see trace_event).
@@ -60,33 +60,23 @@ void SharingController::register_job(JobId job) {
 void SharingController::detach_from_round_locked(JobId job) {
   // Mid-round detach: the job leaves a round it was assigned to (deadline
   // cancellation, early termination) without stalling the remaining
-  // participants. Barrier bookkeeping shrinks with it, and if the job was the
-  // last unreleased participant the round completes on its behalf.
+  // participants. If it was the last unreleased participant, the round
+  // closes on its behalf.
   if (current_pid_ < 0) return;
   const bool was_assigned = current_unacquired_.erase(job) != 0;
   const bool was_unreleased = current_unreleased_.erase(job) != 0;
-  if (barrier_members_.erase(job) != 0) {
-    if (barrier_participants_ > 0) --barrier_participants_;
-    if (barrier_participants_ <= 1) {
-      // The survivors have nobody left to step in lock-step with.
-      solo_round_.store(true, std::memory_order_release);
-    }
-    if (barrier_participants_ > 0 && barrier_arrived_ >= barrier_participants_) {
-      // Everyone still in the round had already arrived: the departing job
-      // was the one the barrier was waiting for. Complete it.
-      barrier_arrived_ = 0;
-      ++barrier_chunk_;
-      ++stats_.chunk_barriers;
-    }
-  }
   if (was_assigned || was_unreleased) ++stats_.mid_round_detaches;
-  if (was_unreleased && current_unreleased_.empty()) {
-    buffer_tracking_.release_now();
-    buffer_loaded_ = false;
-    current_pid_ = -1;
-    advance_locked();
+  if (was_unreleased && current_unreleased_.empty()) close_round_locked();
+}
+
+bool SharingController::has_unreplayed_accesses_locked(JobId job) const {
+  // Only the job's own slots are inspected: the caller is the job's thread,
+  // which wrote them; other slots may still be growing on other threads.
+  for (std::size_t s = 0; s < round_slots_; ++s) {
+    const grid::AccessSlot& slot = *round_log_[s];
+    if (slot.job_id == job && !slot.accesses.empty()) return true;
   }
-  barrier_cv_.notify_all();
+  return false;
 }
 
 void SharingController::job_finished(JobId job) {
@@ -109,6 +99,10 @@ void SharingController::job_finished(JobId job) {
   jobs_.erase(job);
   gc_updates_locked();
   round_cv_.notify_all();
+  // The job's LLC accesses from the open round are charged when the round's
+  // other participants release; callers read the job's LLC stats right
+  // after this returns. One wait per job, for its last round only.
+  while (has_unreplayed_accesses_locked(job)) lock.wait(round_cv_);
 }
 
 void SharingController::register_iteration(JobId job, const std::vector<PartitionId>& partitions) {
@@ -149,23 +143,65 @@ void SharingController::advance_locked() {
               table.at(pid).size());
 
   current_pid_ = pid;
-  current_unacquired_.clear();
-  current_unreleased_.clear();
-  barrier_members_.clear();
-  for (const JobId job : table.at(pid)) {
-    current_unacquired_.insert(job);
-    current_unreleased_.insert(job);
-    barrier_members_.insert(job);
-  }
+  current_unacquired_ = table.at(pid);
+  current_unreleased_ = table.at(pid);
+  round_members_ = current_unreleased_.size();
   buffer_loaded_ = false;
   buffer_loading_ = false;
-  barrier_participants_ = current_unreleased_.size();
-  barrier_arrived_ = 0;
-  barrier_chunk_ = 0;
-  // Published for the lock-free begin/end_chunk fast path. Stable while any
-  // participant is streaming: the round cannot advance until every
-  // participant has released.
-  solo_round_.store(barrier_participants_ <= 1, std::memory_order_release);
+}
+
+void SharingController::close_round_locked() {
+  replay_round_locked();
+  buffer_tracking_.release_now();
+  buffer_loaded_ = false;
+  current_pid_ = -1;
+  advance_locked();
+}
+
+grid::AccessSlot* SharingController::take_slot_locked(JobId job) {
+  if (round_slots_ == round_log_.size()) {
+    round_log_.push_back(std::make_unique<grid::AccessSlot>());
+  }
+  grid::AccessSlot* slot = round_log_[round_slots_++].get();
+  slot->job_id = job;
+  slot->accesses.clear();  // keeps the capacity of earlier rounds
+  return slot;
+}
+
+void SharingController::replay_round_locked() {
+  // The modeled chunk lock-step (Section 3.4.2): every participant's accesses
+  // to chunk c reach the LLC before any participant's to chunk c+1, so a
+  // chunk enters the cache once and serves the whole round. Within a chunk
+  // the participants go in ascending job id, rotated by one per chunk: the
+  // first toucher takes the chunk's misses, and concurrent jobs share that
+  // role rather than billing every miss to the lowest id. A job that
+  // attached twice (a former member re-running mid-round) owns two slots and
+  // replays both.
+  const auto begin = round_log_.begin();
+  const auto end = begin + static_cast<std::ptrdiff_t>(round_slots_);
+  std::stable_sort(begin, end, [](const auto& a, const auto& b) {
+    return a->job_id < b->job_id;
+  });
+  std::size_t remaining = 0;
+  for (auto it = begin; it != end; ++it) remaining += (*it)->accesses.size();
+  std::vector<std::size_t> cursor(round_slots_, 0);
+  sim::CacheSim& llc = platform_.llc();
+  for (std::uint32_t chunk = 0; remaining != 0; ++chunk) {
+    for (std::size_t k = 0; k < round_slots_; ++k) {
+      const std::size_t s = (chunk + k) % round_slots_;
+      const grid::AccessSlot& slot = *round_log_[s];
+      for (std::size_t& i = cursor[s];
+           i < slot.accesses.size() && slot.accesses[i].chunk == chunk; ++i, --remaining) {
+        const grid::LlcAccess& a = slot.accesses[i];
+        llc.access_range(a.base, a.len, slot.job_id, a.weight);
+      }
+    }
+  }
+  if (round_members_ >= 2) {
+    const auto pid = static_cast<PartitionId>(current_pid_);
+    stats_.chunk_barriers += (*chunk_tables_)[pid].chunks.size();
+  }
+  round_slots_ = 0;
 }
 
 std::optional<grid::PartitionView> SharingController::acquire_next(JobId job) {
@@ -188,17 +224,12 @@ std::optional<grid::PartitionView> SharingController::acquire_next(JobId job) {
                current_unreleased_.count(job) == 0) {
       // Late attach (service mode): the partition this job needs is already
       // resident, so serve it from the shared buffer mid-round. The job pins
-      // the buffer (current_unreleased_) but stays outside the chunk barrier
-      // — it free-runs and the lock-step group never waits for it.
-      //
-      // The attacher may be a *former member* of this very round (it
-      // released, started its next iteration, and needs the partition
-      // again). Its member pass is over — a member can only release after
-      // the round's final chunk barrier completed, so no member is waiting
-      // on it — and its re-run must not arrive at the barrier again: strike
-      // it from the roster so begin/end_chunk see a non-member.
+      // the buffer (current_unreleased_) and logs into its own slot, so its
+      // accesses replay in the same lock-step as the members'. It may be a
+      // *former member* of this very round (it released, started its next
+      // iteration, and needs the partition again): the re-run takes a second
+      // slot.
       const auto pid = static_cast<PartitionId>(current_pid_);
-      barrier_members_.erase(job);
       current_unreleased_.insert(job);
       ++stats_.attaches;
       ++stats_.mid_round_attaches;
@@ -262,57 +293,9 @@ void SharingController::release(JobId job, PartitionId pid) {
   auto it = jobs_.find(job);
   if (it != jobs_.end()) it->second.needs.erase(pid);
   if (current_unreleased_.empty() && static_cast<std::int64_t>(pid) == current_pid_) {
-    // Last participant out: drop the shared buffer and move on.
-    buffer_tracking_.release_now();
-    buffer_loaded_ = false;
-    current_pid_ = -1;
-    advance_locked();
+    close_round_locked();
   }
   round_cv_.notify_all();
-  barrier_cv_.notify_all();
-}
-
-void SharingController::begin_chunk(JobId job, PartitionId pid, std::uint32_t chunk_id) {
-  if (!options_.fine_grained_sync) return;
-  // Solo fast path: a round with one participant has nobody to step in
-  // lock-step with — skip the mutex entirely so the single job streams its
-  // chunks back to back at full block-batched speed.
-  if (solo_round_.load(std::memory_order_acquire)) return;
-  MutexLock lock(mutex_);
-  // Late mid-round attachers are not barrier members: they free-run over the
-  // resident buffer instead of pacing (or corrupting) the lock-step group.
-  if (barrier_members_.count(job) == 0) return;
-  trace_event("begin_chunk_wait", job, chunk_id, "[sc] begin_chunk_wait job=%u pid=%u c=%u bc=%u\n",
-              job, pid, chunk_id, barrier_chunk_);
-  while (static_cast<std::int64_t>(pid) == current_pid_ && barrier_chunk_ < chunk_id) {
-    lock.wait(barrier_cv_);
-  }
-}
-
-void SharingController::end_chunk(JobId job, PartitionId pid, std::uint32_t chunk_id) {
-  if (!options_.fine_grained_sync) return;
-  // Solo rounds complete no barrier (and charge no modeled barrier wakeups).
-  if (solo_round_.load(std::memory_order_acquire)) return;
-  MutexLock lock(mutex_);
-  if (static_cast<std::int64_t>(pid) != current_pid_) return;
-  if (barrier_members_.count(job) == 0) return;  // late attacher: no barrier
-  if (barrier_participants_ <= 1) {
-    barrier_chunk_ = chunk_id + 1;
-    ++stats_.chunk_barriers;
-    return;
-  }
-  trace_event("end_chunk", job, chunk_id, "[sc] end_chunk job=%u pid=%u c=%u arrived=%zu/%zu\n",
-              job, pid, chunk_id, barrier_arrived_ + 1, barrier_participants_);
-  if (++barrier_arrived_ == barrier_participants_) {
-    barrier_arrived_ = 0;
-    barrier_chunk_ = chunk_id + 1;
-    ++stats_.chunk_barriers;
-    barrier_cv_.notify_all();
-    return;
-  }
-  while (static_cast<std::int64_t>(pid) == current_pid_ && barrier_chunk_ <= chunk_id) {
-    lock.wait(barrier_cv_);
-  }
 }
 
 const SharingController::OverlayPtr* SharingController::resolve_overlay_locked(
@@ -338,6 +321,7 @@ const SharingController::OverlayPtr* SharingController::resolve_overlay_locked(
 grid::PartitionView SharingController::build_view_locked(JobId job, PartitionId pid) {
   grid::PartitionView view;
   view.pid = pid;
+  view.llc_log = take_slot_locked(job);
   const auto [vb, ve] = store_.meta().vertex_range(pid);
   view.vertex_begin = vb;
   view.vertex_end = ve;

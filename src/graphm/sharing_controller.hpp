@@ -1,6 +1,6 @@
 // The graph sharing controller (Section 3.3) plus the consistent-snapshot
-// machinery (Section 3.3.2) and the chunk-grained synchronization barrier
-// the synchronization manager drives (Section 3.4.2).
+// machinery (Section 3.3.2) and the modeled chunk lock-step of the
+// fine-grained synchronization (Section 3.4.2).
 //
 // One SharingController serves all concurrent jobs of one graph:
 //  * a global table maps each partition to the set of jobs that must process
@@ -10,15 +10,18 @@
 //    (Algorithm 2: the first arriving job loads, the rest attach); jobs that
 //    do not need the current partition are suspended on a condition variable
 //    and resumed when one of theirs becomes current;
-//  * while a partition is shared, its participant jobs step through the
-//    labelled chunks in lock-step (a generation barrier per chunk), so each
-//    chunk is pulled into the simulated LLC once and reused by every job;
+//  * every view of a round carries the job's slot in the round's access log.
+//    Participants stream the resident partition at their own pace and log
+//    their simulated-LLC accesses; when the round's last participant
+//    releases, the controller replays the log chunk by chunk, participants
+//    in ascending job id (rotated per chunk), so each chunk enters the
+//    simulated LLC once and is reused by every job — the paper's lock-step,
+//    with no thread held back;
 //  * snapshots: *mutations* are chunk-grained copies private to one job;
 //    *updates* are chunk-grained versions visible only to jobs submitted
 //    later — earlier jobs keep resolving to the older version.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -38,20 +41,14 @@
 namespace graphm::core {
 
 struct GraphMOptions {
-  bool use_scheduling = true;      // Section 4 strategy (Figure 18 ablation)
-  bool fine_grained_sync = true;   // chunk barrier (ablation)
-  std::size_t vertex_value_bytes = sizeof(double);  // Uv of Formula 1
-  std::size_t chunk_bytes_override = 0;             // 0 = Formula 1
-  /// Workers for Init()'s labelling pass (Algorithm 1). Chunk boundaries are
-  /// size-determined, so parallel labelling is bit-identical to serial.
-  std::size_t label_threads = 1;
+  bool use_scheduling = true;  // Section 4 strategy (Figure 18 ablation)
   /// Open-loop service mode (Algorithm 2 taken to its limit): a job whose
   /// needs include the partition already resident in the shared buffer may
   /// attach to the round in flight instead of waiting for the next round.
-  /// Late attachers free-run over the resident buffer (they join neither the
-  /// chunk barrier nor its lock-step pacing) and hold the buffer until they
-  /// release, so the group never reloads for them. Off by default: the
-  /// closed-batch executor keeps the paper's strict round membership.
+  /// A late attacher takes its own slot in the round's access log and holds
+  /// the buffer until it releases, so the group never reloads for it. Off by
+  /// default: the closed-batch executor keeps the paper's strict round
+  /// membership.
   bool allow_mid_round_attach = false;
 };
 
@@ -65,7 +62,7 @@ class SharingController {
     std::uint64_t attaches = 0;          // jobs served from the shared buffer
     std::uint64_t mid_round_attaches = 0;  // late joins to a round in flight
     std::uint64_t suspensions = 0;       // waits in acquire_next
-    std::uint64_t chunk_barriers = 0;    // completed chunk barrier rounds
+    std::uint64_t chunk_barriers = 0;    // modeled lock-step chunk steps
     std::uint64_t snapshot_copies = 0;   // COW chunk copies created
     std::uint64_t mid_round_detaches = 0;  // jobs detached from a live round
   };
@@ -78,15 +75,15 @@ class SharingController {
   /// invisible to it).
   void register_job(JobId job);
   /// Ends the job: detaches it from any live round, frees its mutation
-  /// copies and erases its entry (GCing update versions it kept alive).
+  /// copies and erases its entry (GCing update versions it kept alive). If
+  /// the job logged accesses in a round that is still open, waits for that
+  /// round's replay, so every access is charged when this returns.
   void job_finished(JobId job);
 
   // --- iteration protocol (the PartitionLoader seam) -----------------------
   void register_iteration(JobId job, const std::vector<PartitionId>& partitions);
   std::optional<grid::PartitionView> acquire_next(JobId job);
   void release(JobId job, PartitionId pid);
-  void begin_chunk(JobId job, PartitionId pid, std::uint32_t chunk_id);
-  void end_chunk(JobId job, PartitionId pid, std::uint32_t chunk_id);
 
   // --- snapshots (Section 3.3.2) -------------------------------------------
   /// Job-private modification of one chunk; other jobs keep the shared data.
@@ -126,6 +123,12 @@ class SharingController {
   using OverlayPtr = std::shared_ptr<OverlayChunk>;
 
   void advance_locked() REQUIRES(mutex_);
+  /// Last participant out: replays the round's access log, drops the shared
+  /// buffer and advances to the next round.
+  void close_round_locked() REQUIRES(mutex_);
+  void replay_round_locked() REQUIRES(mutex_);
+  [[nodiscard]] grid::AccessSlot* take_slot_locked(JobId job) REQUIRES(mutex_);
+  [[nodiscard]] bool has_unreplayed_accesses_locked(JobId job) const REQUIRES(mutex_);
   [[nodiscard]] bool should_defer_locked() const REQUIRES(mutex_);
   [[nodiscard]] grid::PartitionView build_view_locked(JobId job, PartitionId pid)
       REQUIRES(mutex_);
@@ -145,8 +148,7 @@ class SharingController {
   GraphMOptions options_;
 
   mutable Mutex mutex_;
-  std::condition_variable round_cv_;   // round advance, buffer loads, registrations
-  std::condition_variable barrier_cv_;  // chunk barrier (participants only)
+  std::condition_variable round_cv_;  // round advance/close, buffer loads, registrations
 
   std::map<JobId, JobState> jobs_ GUARDED_BY(mutex_);
   std::uint64_t version_counter_ GUARDED_BY(mutex_) = 0;
@@ -167,23 +169,20 @@ class SharingController {
   std::int64_t current_pid_ GUARDED_BY(mutex_) = -1;
   std::set<JobId> current_unacquired_ GUARDED_BY(mutex_);
   std::set<JobId> current_unreleased_ GUARDED_BY(mutex_);
-  /// Round participants subject to the chunk barrier. Late mid-round
-  /// attachers appear in current_unreleased_ (they pin the buffer) but never
-  /// here — they stream at their own pace.
-  std::set<JobId> barrier_members_ GUARDED_BY(mutex_);
   std::vector<graph::Edge> shared_buffer_ GUARDED_BY(mutex_);
   bool buffer_loaded_ GUARDED_BY(mutex_) = false;
   bool buffer_loading_ GUARDED_BY(mutex_) = false;
   sim::TrackedAllocation buffer_tracking_ GUARDED_BY(mutex_);
+  /// Participants the current round began with (>= 2 counts its chunks as
+  /// lock-step steps in Stats::chunk_barriers).
+  std::size_t round_members_ GUARDED_BY(mutex_) = 0;
 
-  // Chunk barrier.
-  std::size_t barrier_participants_ GUARDED_BY(mutex_) = 0;
-  std::size_t barrier_arrived_ GUARDED_BY(mutex_) = 0;
-  std::uint32_t barrier_chunk_ GUARDED_BY(mutex_) = 0;
-  /// True while the current round has at most one participant; read without
-  /// the mutex by begin/end_chunk (it only changes between rounds, and a
-  /// round cannot advance while one of its participants is streaming).
-  std::atomic<bool> solo_round_{true};
+  // The round's access log: round_log_[0, round_slots_) are this round's
+  // slots. Each slot is written only by the job it was handed to, between
+  // its acquire and its release; the controller reads it at round close.
+  // Slots and their capacity are reused round after round.
+  std::vector<std::unique_ptr<grid::AccessSlot>> round_log_ GUARDED_BY(mutex_);
+  std::size_t round_slots_ GUARDED_BY(mutex_) = 0;
 
   // Snapshots: mutations keyed by (job, pid, chunk); updates keyed by
   // (pid, chunk) as a version-ascending list.

@@ -36,8 +36,10 @@ class PartitionLoader {
   /// Marks the job done with the partition it last acquired.
   virtual void release(std::uint32_t job_id, std::uint32_t pid) = 0;
 
-  /// Chunk-boundary notifications (the paper's Start()/Barrier() pair wraps
-  /// the streaming of a shared partition; chunk granularity lives here).
+  /// Chunk-boundary notifications around the streaming of each chunk. The
+  /// built-in loaders ignore them (GraphM models the paper's Start()/
+  /// Barrier() lock-step by replaying the round's access log instead);
+  /// wrappers may use them to observe chunk timing.
   virtual void begin_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id) {
     (void)job_id; (void)pid; (void)chunk_id;
   }

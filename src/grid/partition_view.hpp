@@ -1,8 +1,8 @@
 // A loaded partition as the streaming engine sees it: an ordered list of
 // chunk spans. Under the default loader the whole partition is one span;
 // under GraphM each span is one labelled chunk (possibly redirected to a
-// copy-on-write snapshot chunk), which is what makes chunk-grained
-// synchronization and snapshot isolation possible without the engine caring.
+// copy-on-write snapshot chunk), which is what makes chunk-grained LLC
+// modeling and snapshot isolation possible without the engine caring.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +43,34 @@ struct ChunkSpan {
   std::uint32_t num_run_segments = 0;
 };
 
+/// One simulated-LLC access, as CacheSim::access_range takes it, tagged
+/// with the index (within PartitionView::chunks) of the chunk it belongs to.
+struct LlcAccess {
+  std::uint64_t base = 0;
+  std::uint64_t len = 0;
+  std::uint32_t chunk = 0;
+  std::uint32_t weight = 1;
+};
+
+/// One job's slot in a shared round's access log: the engine appends the
+/// job's LLC accesses here, in chunk order, instead of charging the LLC.
+struct AccessSlot {
+  std::uint32_t job_id = 0;
+  std::vector<LlcAccess> accesses;
+};
+
 struct PartitionView {
   std::uint32_t pid = 0;
   std::vector<ChunkSpan> chunks;
   graph::VertexId vertex_begin = 0;  // partition's source-vertex range
   graph::VertexId vertex_end = 0;
+  /// Set by GraphM's sharing controller: the job's slot in the current
+  /// round's access log. The controller replays the whole round into the LLC
+  /// simulator when the round closes — chunk by chunk, participants in
+  /// ascending job id (rotated per chunk) — which is the paper's chunk
+  /// lock-step (Section 3.4.2) without holding any thread back. nullptr (private -S/-C views): the
+  /// engine charges the LLC inline.
+  AccessSlot* llc_log = nullptr;
 
   [[nodiscard]] graph::EdgeCount total_edges() const {
     graph::EdgeCount total = 0;

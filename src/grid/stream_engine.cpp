@@ -283,13 +283,22 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
 
         // Simulated metrics are issued from this (the job's) thread in chunk
         // order, never from pool workers, so LLC state transitions and
-        // instruction counts stay deterministic at any thread count.
+        // instruction counts stay deterministic at any thread count. Shared
+        // views log the accesses for the controller's round replay instead.
+        const auto charge_llc = [&](std::uint64_t base, std::uint64_t len,
+                                    std::uint32_t weight) {
+          if (view->llc_log != nullptr) {
+            view->llc_log->accesses.push_back(
+                LlcAccess{base, len, static_cast<std::uint32_t>(c), weight});
+          } else {
+            platform_.llc().access_range(base, len, job_id, weight);
+          }
+        };
         if (config_.model_llc && span.edge_count != 0) {
           // Structure data: the chunk's actual buffer address, so shared
           // buffers (-M) hit the same simulated lines while private copies
           // (-C) do not.
-          platform_.llc().access_range(span.llc_base, span.edge_count * sizeof(graph::Edge),
-                                       job_id);
+          charge_llc(span.llc_base, span.edge_count * sizeof(graph::Edge), 1);
           // Per-job hot metadata (frontier words, degree entries, engine
           // state) touched at every chunk. Alone or under -M's lock-step this
           // set stays LLC-resident; under -C the other jobs' private streams
@@ -298,8 +307,7 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
           // reserved simulated region (kernel-half, bit 63 set), which can
           // never collide with a real buffer address.
           constexpr std::size_t kHotSetBytes = 1024;
-          platform_.llc().access_range(sim::Platform::job_scratch_base(job_id),
-                                       kHotSetBytes, job_id);
+          charge_llc(sim::Platform::job_scratch_base(job_id), kHotSetBytes, 1);
           if (config_.model_vertex_data && values_bytes != 0 && c == 0 &&
               store_.meta().num_vertices != 0) {
             // Job-specific data: under the grid's 2-level layout a partition
@@ -313,7 +321,7 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
                                        std::uint64_t{view->vertex_begin} * bytes_per_vertex;
             const std::size_t len =
                 (view->vertex_end - view->vertex_begin) * bytes_per_vertex;
-            platform_.llc().access_range(base, std::max<std::size_t>(len, 64), job_id, 2);
+            charge_llc(base, std::max<std::size_t>(len, 64), 2);
           }
         }
         // "Instructions retired" proxy: one unit per scanned edge plus the

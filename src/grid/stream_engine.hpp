@@ -20,7 +20,9 @@
 // contributions by the graph layout rather than visit order. All simulated
 // metrics (instructions, LLC accesses) are issued from the calling thread in
 // canonical chunk order after each chunk's blocks complete, so they are
-// bit-identical at any thread count; see docs/streaming.md.
+// bit-identical at any thread count; LLC accesses on a view that carries an
+// access-log slot (GraphM's shared rounds) are appended there and replayed
+// by the sharing controller instead. See docs/streaming.md.
 #pragma once
 
 #include <atomic>

@@ -4,7 +4,7 @@
 //                                  loader and private partition copies;
 //   kShared      ("GridGraph-M"): all jobs at once through one GraphM
 //                                  instance (shared buffers, common order,
-//                                  chunk-grained sync).
+//                                  modeled chunk lock-step).
 // Every run gets a fresh simulated Platform so the hardware-counter style
 // metrics are directly comparable across schemes.
 #pragma once

@@ -11,9 +11,9 @@
 //  * the DRAM term is simulated LLC misses x latency — exactly what GraphM's
 //    LLC sharing reduces;
 //  * sync cost charges -M's fine-grained synchronization from the sharing
-//    controller's counters (a barrier wakeup per participant per chunk, a
-//    context switch per suspension); the paper reports this at 7-15% of -M's
-//    total, which these per-event costs land in;
+//    controller's counters (a wakeup per participant per modeled lock-step
+//    chunk step, a context switch per suspension); the paper reports this at
+//    7-15% of -M's total, which these per-event costs land in;
 //  * the disk is one device; its stall time does not parallelize. The page
 //    cache simulator already charges contention to the right scheme.
 #pragma once
@@ -91,7 +91,9 @@ struct RunMetrics {
   std::vector<JobOutcome> jobs;
 
   /// Modeled fine-grained-synchronization cost (zero for -S/-C): one wakeup
-  /// per participant per chunk barrier plus a context switch per suspension.
+  /// per participant per lock-step chunk step (Stats::chunk_barriers, counted
+  /// by the sharing controller's round replay — no thread actually waits)
+  /// plus a context switch per suspension.
   [[nodiscard]] std::uint64_t sync_cost_ns() const {
     constexpr std::uint64_t kBarrierWakeupNs = 1000;
     constexpr std::uint64_t kSuspensionNs = 2000;

@@ -92,9 +92,16 @@ void StatsCollector::on_finish(const runtime::JobOutcome& outcome,
     e2e_modeled_hist_.record(modeled_latency_ns);
     exec_modeled_hist_.record(outcome.modeled_exec_ns());
     if (sample_outcomes_.size() < kSampleCap) {
-      runtime::JobOutcome kept = outcome;
-      kept.result.clear();  // the record's copy stays with the handle
-      sample_outcomes_.push_back(std::move(kept));
+      // Everything but the result vector, which stays with the job's record:
+      // a copy would keep its capacity alive even once cleared.
+      runtime::JobOutcome& kept = sample_outcomes_.emplace_back();
+      kept.spec = outcome.spec;
+      kept.stats = outcome.stats;
+      kept.mem_stall_ns = outcome.mem_stall_ns;
+      kept.modeled_cores = outcome.modeled_cores;
+      kept.arrival_ns = outcome.arrival_ns;
+      kept.start_ns = outcome.start_ns;
+      kept.completion_ns = outcome.completion_ns;
       sample_modeled_.push_back(modeled_latency_ns);
     }
   }
@@ -214,7 +221,11 @@ void StatsCollector::publish_metrics(obs::Registry& registry) const {
 
 std::size_t StatsCollector::approx_memory_bytes() const {
   MutexLock lock(mutex_);
-  return sample_outcomes_.capacity() * sizeof(runtime::JobOutcome) +
+  std::size_t result_bytes = 0;
+  for (const runtime::JobOutcome& kept : sample_outcomes_) {
+    result_bytes += kept.result.capacity() * sizeof(double);
+  }
+  return sample_outcomes_.capacity() * sizeof(runtime::JobOutcome) + result_bytes +
          sample_modeled_.capacity() * sizeof(std::uint64_t) +
          timeline_.capacity() * sizeof(ConcurrencyPoint) +
          5 * sizeof(obs::Histogram);

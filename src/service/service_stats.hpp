@@ -161,8 +161,9 @@ class StatsCollector {
   /// snapshot (JobService::metrics_json does).
   void publish_metrics(obs::Registry& registry) const;
 
-  /// Bytes retained across reservoirs + timeline + histograms; flat once the
-  /// caps are reached (the regression test pins this at 100k finishes).
+  /// Bytes retained across reservoirs (kept result vectors included) +
+  /// timeline + histograms; flat once the caps are reached (the regression
+  /// test pins this at 100k finishes).
   [[nodiscard]] std::size_t approx_memory_bytes() const;
 
  private:

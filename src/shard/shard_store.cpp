@@ -11,6 +11,7 @@
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 #include "util/annotations.hpp"
+#include "util/atomic_file.hpp"
 
 namespace graphm::shard {
 
@@ -74,40 +75,28 @@ std::uint64_t ShardStore::preprocess(const graph::EdgeList& graph, std::uint32_t
                      [](const Edge& a, const Edge& b) { return a.src < b.src; });
   }
 
-  {
-    std::FILE* f = std::fopen((path + ".data").c_str(), "wb");
-    if (f == nullptr) throw std::runtime_error("ShardStore: cannot write " + path + ".data");
-    if (!data.empty() && std::fwrite(data.data(), sizeof(Edge), data.size(), f) != data.size()) {
-      std::fclose(f);
-      throw std::runtime_error("ShardStore: short write " + path + ".data");
-    }
-    std::fclose(f);
-  }
+  // Published whole (temp file + rename), metadata last: a reader that
+  // finds the .meta finds the complete .data and .deg beside it.
+  util::write_file_atomically(path + ".data", [&](std::FILE* f) {
+    return data.empty() || std::fwrite(data.data(), sizeof(Edge), data.size(), f) == data.size();
+  });
   meta.preprocess_ns = timer.elapsed_ns();
-  {
-    std::FILE* f = std::fopen((path + ".meta").c_str(), "wb");
-    if (f == nullptr) throw std::runtime_error("ShardStore: cannot write " + path + ".meta");
+  const auto degrees = graph.out_degrees();
+  util::write_file_atomically(path + ".deg", [&](std::FILE* f) {
+    return degrees.empty() ||
+           std::fwrite(degrees.data(), sizeof(std::uint32_t), degrees.size(), f) ==
+               degrees.size();
+  });
+  util::write_file_atomically(path + ".meta", [&](std::FILE* f) {
     const std::uint32_t magic = kMetaMagic;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&meta.num_vertices, sizeof(meta.num_vertices), 1, f);
-    std::fwrite(&meta.num_edges, sizeof(meta.num_edges), 1, f);
-    std::fwrite(&meta.num_partitions, sizeof(meta.num_partitions), 1, f);
-    std::fwrite(&meta.preprocess_ns, sizeof(meta.preprocess_ns), 1, f);
-    std::fwrite(meta.block_offsets.data(), sizeof(std::uint64_t), num_shards, f);
-    std::fwrite(meta.block_edges.data(), sizeof(std::uint64_t), num_shards, f);
-    std::fclose(f);
-  }
-  {
-    const auto degrees = graph.out_degrees();
-    std::FILE* f = std::fopen((path + ".deg").c_str(), "wb");
-    if (f == nullptr) throw std::runtime_error("ShardStore: cannot write " + path + ".deg");
-    if (!degrees.empty() &&
-        std::fwrite(degrees.data(), sizeof(std::uint32_t), degrees.size(), f) != degrees.size()) {
-      std::fclose(f);
-      throw std::runtime_error("ShardStore: short write " + path + ".deg");
-    }
-    std::fclose(f);
-  }
+    return std::fwrite(&magic, sizeof(magic), 1, f) == 1 &&
+           std::fwrite(&meta.num_vertices, sizeof(meta.num_vertices), 1, f) == 1 &&
+           std::fwrite(&meta.num_edges, sizeof(meta.num_edges), 1, f) == 1 &&
+           std::fwrite(&meta.num_partitions, sizeof(meta.num_partitions), 1, f) == 1 &&
+           std::fwrite(&meta.preprocess_ns, sizeof(meta.preprocess_ns), 1, f) == 1 &&
+           std::fwrite(meta.block_offsets.data(), sizeof(std::uint64_t), num_shards, f) == num_shards &&
+           std::fwrite(meta.block_edges.data(), sizeof(std::uint64_t), num_shards, f) == num_shards;
+  });
   return meta.preprocess_ns;
 }
 

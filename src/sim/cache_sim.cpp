@@ -22,43 +22,40 @@ CacheSim::CacheSim(std::size_t capacity_bytes, std::size_t ways, std::size_t lin
 
 void CacheSim::access(std::uint64_t addr, std::uint32_t job_id) {
   MutexLock lock(mutex_);
-  access_line_locked(addr / line_bytes_, job_id, 1);
+  access_line_locked(addr / line_bytes_, stats_for_locked(job_id), 1);
 }
 
 void CacheSim::access_range(std::uint64_t base, std::size_t len, std::uint32_t job_id,
                             std::uint32_t weight) {
   if (len == 0 || weight == 0) return;
   MutexLock lock(mutex_);
+  CacheStats& js = stats_for_locked(job_id);
   const std::uint64_t first = base / line_bytes_;
   const std::uint64_t last = (base + len - 1) / line_bytes_;
   for (std::uint64_t line = first; line <= last; ++line) {
-    access_line_locked(line, job_id, weight);
+    access_line_locked(line, js, weight);
   }
 }
 
-void CacheSim::access_line_locked(std::uint64_t line_addr, std::uint32_t job_id,
+void CacheSim::access_line_locked(std::uint64_t line_addr, CacheStats& js,
                                   std::uint32_t weight) {
   const std::size_t set = static_cast<std::size_t>(line_addr & (num_sets_ - 1));
   Way* base = &sets_[set * ways_];
-  CacheStats& js = stats_for_locked(job_id);
 
   // First touch of this burst: normal lookup.
   std::size_t victim = 0;
   bool hit = false;
   std::uint64_t oldest = ~0ULL;
   for (std::size_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == line_addr) {
+    if (base[w].tag == line_addr) {
       hit = true;
       victim = w;
       break;
     }
-    const std::uint64_t use = base[w].valid ? base[w].last_use : 0;
-    if (!base[w].valid) {
-      // Prefer an invalid way outright.
-      victim = w;
-      oldest = 0;
-    } else if (use < oldest) {
-      oldest = use;
+    // LRU victim. Valid ways carry distinct ticks (>= 1) and empty ways 0,
+    // so `<=` only ever ties between empty ways: the last one wins.
+    if (base[w].last_use <= oldest) {
+      oldest = base[w].last_use;
       victim = w;
     }
   }
@@ -71,7 +68,6 @@ void CacheSim::access_line_locked(std::uint64_t line_addr, std::uint32_t job_id,
     js.misses += 1;
     js.bytes_swapped_in += line_bytes_;
     base[victim].tag = line_addr;
-    base[victim].valid = true;
   }
   base[victim].last_use = ++tick_;
 }

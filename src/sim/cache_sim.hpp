@@ -49,13 +49,15 @@ class CacheSim {
   void reset();
 
  private:
+  /// Tag of an empty way: no line address (byte address / line size) can
+  /// reach it.
+  static constexpr std::uint64_t kInvalidTag = ~0ULL;
   struct Way {
-    std::uint64_t tag = ~0ULL;
+    std::uint64_t tag = kInvalidTag;
     std::uint64_t last_use = 0;
-    bool valid = false;
   };
 
-  void access_line_locked(std::uint64_t line_addr, std::uint32_t job_id,
+  void access_line_locked(std::uint64_t line_addr, CacheStats& job_stats,
                           std::uint32_t weight) REQUIRES(mutex_);
   CacheStats& stats_for_locked(std::uint32_t job_id) REQUIRES(mutex_);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
@@ -127,6 +128,25 @@ TEST(Datasets, LoadIsCachedAndDeterministic) {
   const auto b = load_dataset("livej_s", 0.05);
   EXPECT_EQ(a, b);
   EXPECT_GT(a.num_edges(), 0u);
+}
+
+TEST(Datasets, LeftoverTempFileIsIgnoredAndDatasetRegenerated) {
+  // An interrupted save leaves only its temporary file behind: the published
+  // name is written by rename alone, so it never holds a partial file, and
+  // the next open regenerates the dataset. (Scale unique to this test.)
+  namespace fs = std::filesystem;
+  const double scale = 0.0123;
+  const fs::path path = fs::path(dataset_cache_dir()) / "livej_s_0.0123.bin";
+  fs::remove(path);
+  const std::string leftover = path.string() + ".tmp.Ab12Cd";
+  { std::ofstream(leftover) << "torn"; }
+
+  EXPECT_EQ(dataset_path("livej_s", scale), path.string());
+  const EdgeList g = load_dataset("livej_s", scale);
+  EXPECT_GT(g.num_edges(), 0u);
+  EXPECT_EQ(fs::file_size(path), 16 + g.num_edges() * sizeof(Edge));
+  fs::remove(leftover);
+  fs::remove(path);
 }
 
 TEST(Datasets, UnknownNameThrows) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 
 #include "algos/bfs.hpp"
 #include "algos/factory.hpp"
 #include "algos/pagerank.hpp"
 #include "algos/reference.hpp"
+#include "graph/datasets.hpp"
 #include "grid/loader.hpp"
 #include "grid/stream_engine.hpp"
 #include "test_helpers.hpp"
@@ -77,6 +80,30 @@ TEST(GridStore, PreprocessRecordsTime) {
   const auto g = test::small_rmat(64, 700);
   const GridStore store = test::make_grid(g, 2);
   EXPECT_GT(store.meta().preprocess_ns, 0u);
+}
+
+TEST(GridStore, LeftoverTempFilesAreIgnoredAndGridRebuilt) {
+  // A preprocess interrupted mid-write leaves temporary files, never a
+  // partial .meta/.data under the published names: the cached grid is
+  // rebuilt and opens whole. (Scale unique to this test.)
+  namespace fs = std::filesystem;
+  const double scale = 0.0124;
+  const std::string grid_path =
+      (fs::path(graph::dataset_cache_dir()) / "livej_s_0.0124_p2.grid").string();
+  std::vector<std::string> leftovers;
+  for (const char* ext : {".data", ".meta", ".deg"}) {
+    fs::remove(grid_path + ext);
+    leftovers.push_back(grid_path + ext + ".tmp.Ab12Cd");
+    std::ofstream(leftovers.back()) << "torn";
+  }
+
+  const GridStore store = open_dataset_grid("livej_s", 2, scale);
+  const graph::EdgeList g = graph::load_dataset("livej_s", scale);
+  EXPECT_EQ(store.meta().num_edges, g.num_edges());
+  EXPECT_EQ(store.load_out_degrees(), g.out_degrees());
+  for (const std::string& leftover : leftovers) fs::remove(leftover);
+  for (const char* ext : {".data", ".meta", ".deg"}) fs::remove(grid_path + ext);
+  fs::remove(graph::dataset_path("livej_s", scale));
 }
 
 TEST(StreamEngine, ActivePartitionsFollowBitmap) {

@@ -501,6 +501,20 @@ TEST(StatsCollector, MemoryStaysFlatAcross100kFinishes) {
   EXPECT_NEAR(stats.e2e.p99_ns, static_cast<double>(exact_p99), width);
 }
 
+TEST(StatsCollector, SamplesKeepNoResultCapacity) {
+  // The reservoir holds outcomes without their result vectors: a job's
+  // values (one double per vertex) stay with its record, not the collector.
+  service::StatsCollector bare;
+  service::StatsCollector with_results;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    runtime::JobOutcome outcome = synthetic_outcome(i, 1000);
+    bare.on_finish(outcome, 1000, false, false, i, 0);
+    outcome.result.assign(1 << 16, 1.0);
+    with_results.on_finish(outcome, 1000, false, false, i, 0);
+  }
+  EXPECT_EQ(with_results.approx_memory_bytes(), bare.approx_memory_bytes());
+}
+
 TEST(StatsCollector, PublishMetricsRehomesCountersAndHistograms) {
   service::StatsCollector collector;
   for (std::uint64_t i = 0; i < 10; ++i) {

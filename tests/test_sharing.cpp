@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "graphm/graphm.hpp"
@@ -52,7 +54,7 @@ TEST(SharingController, SingleJobDrainsItsNeeds) {
   while (auto view = loader->acquire_next(0)) {
     seen.push_back(view->pid);
     EXPECT_GT(view->chunks.size(), 0u);
-    // Walk the chunk barrier protocol exactly as the engine does.
+    // Walk the chunk notifications exactly as the engine does.
     for (const auto& span : view->chunks) {
       loader->begin_chunk(0, view->pid, span.chunk_id);
       loader->end_chunk(0, view->pid, span.chunk_id, 0, span.edge_count, 10);
@@ -106,7 +108,100 @@ TEST(SharingController, TwoJobsShareOneLoad) {
   EXPECT_EQ(stats.partition_loads, 12u);
   // ...and attached by the second job.
   EXPECT_EQ(stats.attaches, 12u);
-  EXPECT_GT(stats.chunk_barriers, 0u);
+  // Every round has two participants, so each of its chunks is one modeled
+  // lock-step step.
+  std::uint64_t chunks = 0;
+  for (const auto& table : f.graphm.chunk_tables()) chunks += table.chunks.size();
+  EXPECT_EQ(stats.chunk_barriers, 3 * chunks);
+}
+
+/// Delegates to a GraphM loader but sleeps at every chunk end: a job that
+/// streams far behind its round partner.
+class SlowLoader final : public grid::PartitionLoader {
+ public:
+  explicit SlowLoader(std::unique_ptr<grid::PartitionLoader> inner) : inner_(std::move(inner)) {}
+  void register_iteration(std::uint32_t job_id,
+                          const std::vector<std::uint32_t>& partitions) override {
+    inner_->register_iteration(job_id, partitions);
+  }
+  std::optional<grid::PartitionView> acquire_next(std::uint32_t job_id) override {
+    return inner_->acquire_next(job_id);
+  }
+  void release(std::uint32_t job_id, std::uint32_t pid) override { inner_->release(job_id, pid); }
+  void end_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id,
+                 std::uint64_t active_edges, std::uint64_t total_edges,
+                 std::uint64_t elapsed_ns) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    inner_->end_chunk(job_id, pid, chunk_id, active_edges, total_edges, elapsed_ns);
+  }
+  void job_finished(std::uint32_t job_id) override { inner_->job_finished(job_id); }
+
+ private:
+  std::unique_ptr<grid::PartitionLoader> inner_;
+};
+
+struct PairRun {
+  sim::CacheStats total;
+  sim::CacheStats fast_at_return;  // job 0, read right after its run_job
+  sim::CacheStats fast_after_join;
+};
+
+/// Two identical PageRank jobs under -M on partitions ~8x the simulated LLC;
+/// job 1 optionally streams through SlowLoader.
+PairRun run_pagerank_pair(const grid::GridStore& store, bool slow_second) {
+  sim::PlatformConfig config;
+  config.llc_bytes = 32 * 1024;
+  config.llc_reserved_bytes = 4 * 1024;
+  sim::Platform platform(config);
+  GraphM graphm(store, platform);
+  graphm.init();
+  const grid::StreamEngine engine(store, platform);
+  algos::PageRank pr0(0.85, 3);
+  algos::PageRank pr1(0.85, 3);
+  auto l0 = graphm.make_loader(0);
+  std::unique_ptr<grid::PartitionLoader> l1 = graphm.make_loader(1);
+  if (slow_second) l1 = std::make_unique<SlowLoader>(std::move(l1));
+  PairRun run;
+  std::thread t0([&] {
+    engine.run_job(0, pr0, *l0);
+    run.fast_at_return = platform.llc().job_stats(0);
+  });
+  std::thread t1([&] { engine.run_job(1, pr1, *l1); });
+  t0.join();
+  t1.join();
+  run.total = platform.llc().total_stats();
+  run.fast_after_join = platform.llc().job_stats(0);
+  return run;
+}
+
+TEST(SharingController, LockStepHoldsWhenOneJobLags) {
+  // The lock-step is modeled, not enforced on threads: the round's access
+  // log replays chunk by chunk at round close, so a job that lags far
+  // behind its partner still reuses every chunk its partner pulled into the
+  // LLC. Charged inline, the lagging job re-misses on chunks its partner's
+  // stream already evicted, well past the 2% bound.
+  const auto g = test::small_rmat(2048, 40000);
+  const grid::GridStore store = test::make_grid(g, 2);
+  ASSERT_GT(store.meta().max_partition_bytes(), 4u * 32 * 1024);
+  const PairRun paced = run_pagerank_pair(store, false);
+  const PairRun lagging = run_pagerank_pair(store, true);
+  ASSERT_GT(paced.total.misses, 0u);
+  const double drift = std::abs(static_cast<double>(lagging.total.misses) -
+                                static_cast<double>(paced.total.misses));
+  EXPECT_LE(drift, 0.02 * static_cast<double>(paced.total.misses))
+      << "paced " << paced.total.misses << " vs lagging " << lagging.total.misses;
+}
+
+TEST(SharingController, AccessesChargedByJobFinish) {
+  // The fast job's last round closes only when the lagging job releases it;
+  // job_finished waits for that replay, so the stats read right after
+  // run_job returns are already final.
+  const auto g = test::small_rmat(2048, 40000);
+  const grid::GridStore store = test::make_grid(g, 2);
+  const PairRun run = run_pagerank_pair(store, true);
+  ASSERT_GT(run.fast_after_join.accesses, 0u);
+  EXPECT_EQ(run.fast_at_return.accesses, run.fast_after_join.accesses);
+  EXPECT_EQ(run.fast_at_return.misses, run.fast_after_join.misses);
 }
 
 TEST(SharingController, SharedBufferHitsSameSimulatedLines) {
@@ -157,7 +252,7 @@ TEST(SharingController, SuspensionHappensWhenNeedsDiverge) {
 }
 
 TEST(SharingController, ManyJobsProduceCorrectResults) {
-  // Stress the barrier/suspend logic with 6 mixed jobs.
+  // Stress the round/suspend logic with 6 mixed jobs.
   Fixture f;
   const grid::StreamEngine engine(f.store, f.platform);
   std::vector<std::unique_ptr<algos::StreamingAlgorithm>> algorithms;

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <thread>
 #include <vector>
 
@@ -176,17 +178,28 @@ TEST(WindowedHistogramConcurrency, ParallelRecordersLoseNothing) {
 TEST(WindowedHistogramConcurrency, RecordersRaceRotationWithoutLosingRetained) {
   // Writers sweep time forward together; every sample lands in the current
   // or previous slot, so none may be dropped and the final ring must hold
-  // everything recorded in the last window span.
+  // everything recorded in the last window span. The writers are paced in
+  // rounds of kThreads * kPerRound = 200 ticks, and no writer leaves a round
+  // before all have recorded it, so a writer preempted between taking its
+  // timestamp and recording it lags the clock by less than 200 ticks — far
+  // less than the 4000-tick window whose expiry would legitimately drop its
+  // sample.
   WindowedHistogram w(4000, 4);
   constexpr int kThreads = 4;
+  constexpr int kRounds = 100;
+  constexpr int kPerRound = 50;
   std::atomic<std::uint64_t> clock{0};
+  std::barrier round_end(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      for (int i = 0; i < 5000; ++i) {
-        const std::uint64_t now = clock.fetch_add(1, std::memory_order_relaxed);
-        w.record(now, 1);
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kPerRound; ++i) {
+          const std::uint64_t now = clock.fetch_add(1, std::memory_order_relaxed);
+          w.record(now, 1);
+        }
+        round_end.arrive_and_wait();
       }
     });
   }
