@@ -42,7 +42,9 @@ class SharedLoader final : public grid::PartitionLoader {
 }  // namespace
 
 GraphM::GraphM(const storage::PartitionedStore& store, sim::Platform& platform, GraphMOptions options)
-    : store_(store), platform_(platform), controller_(store, platform, &chunk_tables_, options) {}
+    : store_(store),
+      platform_(platform),
+      controller_(store, platform, &chunk_tables_, options) {}
 
 GraphM::~GraphM() = default;
 

@@ -94,8 +94,10 @@ std::uint64_t ShardStore::preprocess(const graph::EdgeList& graph, std::uint32_t
            std::fwrite(&meta.num_edges, sizeof(meta.num_edges), 1, f) == 1 &&
            std::fwrite(&meta.num_partitions, sizeof(meta.num_partitions), 1, f) == 1 &&
            std::fwrite(&meta.preprocess_ns, sizeof(meta.preprocess_ns), 1, f) == 1 &&
-           std::fwrite(meta.block_offsets.data(), sizeof(std::uint64_t), num_shards, f) == num_shards &&
-           std::fwrite(meta.block_edges.data(), sizeof(std::uint64_t), num_shards, f) == num_shards;
+           std::fwrite(meta.block_offsets.data(), sizeof(std::uint64_t), num_shards, f) ==
+               num_shards &&
+           std::fwrite(meta.block_edges.data(), sizeof(std::uint64_t), num_shards, f) ==
+               num_shards;
   });
   return meta.preprocess_ns;
 }
