@@ -31,7 +31,8 @@ BenchResult summarize(const runtime::RunMetrics& m) {
 BenchResult run_scheme(runtime::Scheme scheme, const std::string& dataset,
                        std::size_t requested_jobs, const Customize& customize) {
   const double scale = bench_scale();
-  const grid::GridStore store = grid::open_dataset_grid(dataset, kPartitions, scale);
+  const grid::GridStore store =
+      storage::open_dataset<grid::GridStore>(dataset, kPartitions, scale);
   auto jobs = runtime::paper_mix(bench_jobs_for(dataset, requested_jobs),
                                  store.meta().num_vertices, 0xBEEF);
   runtime::ExecutorConfig config;

@@ -15,7 +15,8 @@ using namespace graphm::bench;
 
 int main() {
   const double scale = bench_scale();
-  const grid::GridStore store = grid::open_dataset_grid("twitter_s", kPartitions, scale);
+  const grid::GridStore store =
+      storage::open_dataset<grid::GridStore>("twitter_s", kPartitions, scale);
   sim::Platform platform(bench_platform());
   core::GraphM graphm(store, platform);
   graphm.init();

@@ -18,7 +18,8 @@ int main() {
   bool space_in_band = true;
   for (const std::string& dataset : bench_datasets()) {
     const double scale = bench_scale();
-    const grid::GridStore store = grid::open_dataset_grid(dataset, kPartitions, scale);
+    const grid::GridStore store =
+        storage::open_dataset<grid::GridStore>(dataset, kPartitions, scale);
     const double graph_bytes =
         static_cast<double>(store.meta().num_edges) * sizeof(graph::Edge);
 

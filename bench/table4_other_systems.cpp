@@ -21,7 +21,8 @@ namespace {
 // the big graphs (bench_jobs_for), as everywhere in the suite.
 double run_graphchi(runtime::Scheme scheme, const std::string& dataset, std::size_t jobs) {
   const double scale = bench_scale();
-  const shard::ShardStore store = shard::open_dataset_shards(dataset, kPartitions, scale);
+  const shard::ShardStore store =
+      storage::open_dataset<shard::ShardStore>(dataset, kPartitions, scale);
   const auto specs = runtime::paper_mix(bench_jobs_for(dataset, jobs),
                                         store.meta().num_vertices, 0x44);
   runtime::ExecutorConfig config;

@@ -15,7 +15,7 @@ using namespace graphm;
 
 int main() {
   const double scale = 0.08;  // small enough to finish in seconds
-  const grid::GridStore store = grid::open_dataset_grid("twitter_s", 8, scale);
+  const grid::GridStore store = storage::open_dataset<grid::GridStore>("twitter_s", 8, scale);
 
   const std::size_t num_jobs = 12;
   const auto jobs = runtime::paper_mix(num_jobs, store.meta().num_vertices, /*seed=*/2024);

@@ -448,20 +448,6 @@ std::size_t SharingController::live_jobs() const {
   return jobs_.size();  // finished jobs are erased on job_finished
 }
 
-void SharingController::publish_metrics(obs::Registry& registry) const {
-  const Stats s = stats();
-  registry.set_counter("graphm.sharing.partition_loads", s.partition_loads);
-  registry.set_counter("graphm.sharing.attaches", s.attaches);
-  registry.set_counter("graphm.sharing.mid_round_attaches", s.mid_round_attaches);
-  registry.set_counter("graphm.sharing.suspensions", s.suspensions);
-  registry.set_counter("graphm.sharing.chunk_barriers", s.chunk_barriers);
-  registry.set_counter("graphm.sharing.snapshot_copies", s.snapshot_copies);
-  registry.set_counter("graphm.sharing.mid_round_detaches", s.mid_round_detaches);
-  registry.set_gauge("graphm.sharing.live_jobs", static_cast<std::int64_t>(live_jobs()));
-  registry.set_gauge("graphm.sharing.snapshot_chunks_live",
-                     static_cast<std::int64_t>(snapshot_chunks_live()));
-}
-
 std::size_t SharingController::snapshot_chunks_live() const {
   MutexLock lock(mutex_);
   std::size_t live = mutations_.size();

@@ -35,7 +35,6 @@
 #include "graphm/scheduler.hpp"
 #include "grid/grid_store.hpp"
 #include "grid/partition_view.hpp"
-#include "obs/metrics.hpp"
 #include "sim/platform.hpp"
 
 namespace graphm::core {
@@ -65,6 +64,17 @@ class SharingController {
     std::uint64_t chunk_barriers = 0;    // modeled lock-step chunk steps
     std::uint64_t snapshot_copies = 0;   // COW chunk copies created
     std::uint64_t mid_round_detaches = 0;  // jobs detached from a live round
+
+    Stats& operator+=(const Stats& other) {
+      partition_loads += other.partition_loads;
+      attaches += other.attaches;
+      mid_round_attaches += other.mid_round_attaches;
+      suspensions += other.suspensions;
+      chunk_barriers += other.chunk_barriers;
+      snapshot_copies += other.snapshot_copies;
+      mid_round_detaches += other.mid_round_detaches;
+      return *this;
+    }
   };
 
   SharingController(const storage::PartitionedStore& store, sim::Platform& platform,
@@ -102,9 +112,6 @@ class SharingController {
   [[nodiscard]] std::size_t live_jobs() const;
   /// Currently retained snapshot chunk copies (after GC).
   [[nodiscard]] std::size_t snapshot_chunks_live() const;
-  /// Re-homes Stats into `registry` under `graphm.sharing.*` (publish-style:
-  /// overwrites with current totals, callable at any snapshot point).
-  void publish_metrics(obs::Registry& registry) const;
 
  private:
   /// One entry per *live* job (job_finished erases — the service routes an

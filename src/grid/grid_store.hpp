@@ -8,63 +8,33 @@
 // can skip inactive rows without touching the file.
 #pragma once
 
-#include <cstdio>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "graph/edge_list.hpp"
-#include "graph/types.hpp"
-#include "sim/platform.hpp"
-#include "storage/store.hpp"
+#include "storage/file_store.hpp"
 
 namespace graphm::grid {
 
 using graph::Edge;
 using graph::EdgeCount;
 using graph::VertexId;
-using GridMeta = storage::StoreMeta;
 
 /// Read-only handle on a preprocessed grid. Thread safe.
-class GridStore final : public storage::PartitionedStore {
+class GridStore final : public storage::FileStore {
  public:
+  static const storage::StoreFormat kFormat;
+
   /// Buckets `graph` into a P x P grid and writes <path>.{meta,data,deg}.
   /// Returns the conversion wall time (Table 3's GridGraph row).
   /// `src_sort` groups each block's edges by source (stable), which is what
   /// gives the engines long source runs; pass false only to reproduce the
   /// seed's ungrouped layout (the stream-bench baseline).
   static std::uint64_t preprocess(const graph::EdgeList& graph, std::uint32_t num_partitions,
-                                  const std::string& path, bool src_sort = true);
+                                  const std::string& path, bool src_sort = true) {
+    return FileStore::preprocess(kFormat, graph, num_partitions, path, src_sort);
+  }
 
-  static GridStore open(const std::string& path);
-
-  [[nodiscard]] const GridMeta& meta() const override { return meta_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] std::uint32_t file_id() const override { return file_id_; }
-
-  std::uint64_t read_partition(std::uint32_t i, std::vector<Edge>& out, sim::Platform& platform,
-                               std::uint32_t job_id) const override;
-  std::uint64_t read_edges(std::uint32_t i, EdgeCount first_edge, EdgeCount count, Edge* out,
-                           sim::Platform& platform, std::uint32_t job_id) const override;
-  [[nodiscard]] std::vector<std::uint32_t> load_out_degrees() const override;
+  static GridStore open(const std::string& path) { return GridStore(path, kFormat); }
 
  private:
-  GridStore(GridMeta meta, std::string path, std::uint32_t file_id);
-
-  GridMeta meta_;
-  std::string path_;
-  std::uint32_t file_id_;
-  struct FdCloser {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) std::fclose(f);
-    }
-  };
-  std::shared_ptr<std::FILE> data_file_;
+  using FileStore::FileStore;
 };
-
-/// Preprocesses (once, cached) the named dataset into the cache dir and opens
-/// it. Convenience used by benches, examples and tests.
-GridStore open_dataset_grid(const std::string& dataset, std::uint32_t num_partitions,
-                            double scale = 1.0);
 
 }  // namespace graphm::grid

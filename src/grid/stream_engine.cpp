@@ -43,7 +43,7 @@ const StreamEngine::RunIndex& StreamEngine::partition_runs(std::uint32_t pid,
 
 std::vector<std::uint32_t> StreamEngine::active_partitions(
     const util::AtomicBitmap& active) const {
-  const GridMeta& meta = store_.meta();
+  const storage::StoreMeta& meta = store_.meta();
   std::vector<std::uint32_t> result;
   result.reserve(meta.num_partitions);
   for (std::uint32_t p = 0; p < meta.num_partitions; ++p) {

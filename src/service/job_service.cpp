@@ -308,22 +308,17 @@ void JobService::publish_metrics(obs::Registry& registry) const {
   registry.set_gauge("graphm.service.workers",
                      static_cast<std::int64_t>(std::max<std::size_t>(1, config_.workers)));
 
-  // Sharing economy, summed over every dataset's controller (kShared only).
-  core::SharingController::Stats sharing{};
-  bool any_shared = false;
-  for (const Dataset& dataset : datasets_) {
-    if (!dataset.graphm) continue;
-    any_shared = true;
-    const core::SharingController::Stats s = dataset.graphm->controller().stats();
-    sharing.partition_loads += s.partition_loads;
-    sharing.attaches += s.attaches;
-    sharing.mid_round_attaches += s.mid_round_attaches;
-    sharing.suspensions += s.suspensions;
-    sharing.chunk_barriers += s.chunk_barriers;
-    sharing.snapshot_copies += s.snapshot_copies;
-    sharing.mid_round_detaches += s.mid_round_detaches;
-  }
-  if (any_shared) {
+  // Sharing economy, summed over every dataset's controller.
+  if (config_.mode == ExecMode::kShared) {
+    core::SharingController::Stats sharing{};
+    std::size_t live_jobs = 0;
+    std::size_t snapshot_chunks_live = 0;
+    for (const Dataset& dataset : datasets_) {
+      const core::SharingController& controller = dataset.graphm->controller();
+      sharing += controller.stats();
+      live_jobs += controller.live_jobs();
+      snapshot_chunks_live += controller.snapshot_chunks_live();
+    }
     registry.set_counter("graphm.sharing.partition_loads", sharing.partition_loads);
     registry.set_counter("graphm.sharing.attaches", sharing.attaches);
     registry.set_counter("graphm.sharing.mid_round_attaches", sharing.mid_round_attaches);
@@ -331,6 +326,9 @@ void JobService::publish_metrics(obs::Registry& registry) const {
     registry.set_counter("graphm.sharing.chunk_barriers", sharing.chunk_barriers);
     registry.set_counter("graphm.sharing.snapshot_copies", sharing.snapshot_copies);
     registry.set_counter("graphm.sharing.mid_round_detaches", sharing.mid_round_detaches);
+    registry.set_gauge("graphm.sharing.live_jobs", static_cast<std::int64_t>(live_jobs));
+    registry.set_gauge("graphm.sharing.snapshot_chunks_live",
+                       static_cast<std::int64_t>(snapshot_chunks_live));
   }
 
   // Simulated platform totals (the paper's hardware-counter view).

@@ -35,8 +35,11 @@ class CacheSim {
   /// Sequential accesses covering [base, base+len), one per cache line,
   /// attributed to `job_id`. `weight` repeats each line access (used to model
   /// re-walks cheaply).
-  void access_range(std::uint64_t base, std::size_t len, std::uint32_t job_id,
-                    std::uint32_t weight = 1);
+  /// Starts on a cache line, as does access_line_locked: the simulator is the
+  /// serialized bottleneck of out-of-core runs, and their speed moved by ~10%
+  /// with where unrelated code happened to leave them in the binary.
+  [[gnu::aligned(64)]] void access_range(std::uint64_t base, std::size_t len,
+                                         std::uint32_t job_id, std::uint32_t weight = 1);
 
   [[nodiscard]] CacheStats total_stats() const;
   [[nodiscard]] CacheStats job_stats(std::uint32_t job_id) const;
@@ -57,8 +60,8 @@ class CacheSim {
     std::uint64_t last_use = 0;
   };
 
-  void access_line_locked(std::uint64_t line_addr, CacheStats& job_stats,
-                          std::uint32_t weight) REQUIRES(mutex_);
+  [[gnu::aligned(64)]] void access_line_locked(std::uint64_t line_addr, CacheStats& job_stats,
+                                               std::uint32_t weight) REQUIRES(mutex_);
   CacheStats& stats_for_locked(std::uint32_t job_id) REQUIRES(mutex_);
 
   std::size_t ways_;

@@ -35,4 +35,12 @@ std::uint64_t StoreMeta::max_partition_bytes() const {
   return best;
 }
 
+std::uint64_t PartitionedStore::read_partition(std::uint32_t i, std::vector<graph::Edge>& out,
+                                              sim::Platform& platform,
+                                              std::uint32_t job_id) const {
+  const graph::EdgeCount count = meta().partition_edges(i);
+  out.resize(count);
+  return read_edges(i, 0, count, out.data(), platform, job_id);
+}
+
 }  // namespace graphm::storage

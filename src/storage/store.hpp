@@ -3,15 +3,18 @@
 // The paper's point two (Section 1) is that graph processing systems couple
 // their own storage engines, and that decoupling storage lets one optimized
 // storage system serve them all. PartitionedStore is that decoupling in this
-// repository: the GridGraph-like grid format and the GraphChi-like shard
-// format both implement it, and the streaming engine, the default loaders and
-// all of GraphM (sharing controller, chunk labelling, snapshots) are written
-// against it — so plugging GraphM into another system is exactly the paper's
-// "replace Load() with Sharing()" story.
+// repository: the streaming engine, the default loaders and all of GraphM
+// (sharing controller, chunk labelling, snapshots) are written against it, so
+// plugging GraphM into another system is exactly the paper's "replace Load()
+// with Sharing()" story. One implementation, storage::FileStore
+// (file_store.hpp), serves both formats, the GridGraph-like grid and the
+// GraphChi-like shards: a format only names its magic, its blocks per
+// partition and which block an edge lands in. Its reads are pread(2) on the
+// store's own descriptor and take no lock, so concurrent jobs read in
+// parallel.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,9 +68,10 @@ class PartitionedStore {
   [[nodiscard]] virtual std::uint32_t file_id() const = 0;
 
   /// Reads partition i into `out` (resized), charging the simulated disk /
-  /// page cache on behalf of `job_id`. Returns modeled stall (ns).
+  /// page cache on behalf of `job_id`. Returns modeled stall (ns). The
+  /// default resizes `out` and reads the whole partition with read_edges.
   virtual std::uint64_t read_partition(std::uint32_t i, std::vector<graph::Edge>& out,
-                                       sim::Platform& platform, std::uint32_t job_id) const = 0;
+                                       sim::Platform& platform, std::uint32_t job_id) const;
 
   /// Reads [first_edge, first_edge+count) of partition i.
   virtual std::uint64_t read_edges(std::uint32_t i, graph::EdgeCount first_edge,

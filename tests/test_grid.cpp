@@ -97,7 +97,7 @@ TEST(GridStore, LeftoverTempFilesAreIgnoredAndGridRebuilt) {
     std::ofstream(leftovers.back()) << "torn";
   }
 
-  const GridStore store = open_dataset_grid("livej_s", 2, scale);
+  const GridStore store = storage::open_dataset<GridStore>("livej_s", 2, scale);
   const graph::EdgeList g = graph::load_dataset("livej_s", scale);
   EXPECT_EQ(store.meta().num_edges, g.num_edges());
   EXPECT_EQ(store.load_out_degrees(), g.out_degrees());

@@ -108,7 +108,7 @@ TEST(Integration, MutationDuringConcurrentRunStaysPrivate) {
 TEST(Integration, EveryDatasetStandInRunsEndToEnd) {
   for (const auto& spec : graph::dataset_specs()) {
     const double tiny = 0.02;
-    const grid::GridStore store = grid::open_dataset_grid(spec.name, 4, tiny);
+    const grid::GridStore store = storage::open_dataset<grid::GridStore>(spec.name, 4, tiny);
     const auto jobs = runtime::paper_mix(3, store.meta().num_vertices, 1);
     runtime::ExecutorConfig config;
     config.record_results = true;

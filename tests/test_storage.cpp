@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <latch>
+#include <thread>
+
 #include "storage/store.hpp"
 #include "test_helpers.hpp"
 
@@ -94,6 +99,68 @@ TEST(PartitionedStore, GridAndShardExposeTheSameEdgeMultiset) {
     return keys;
   };
   EXPECT_EQ(collect(grid_store), collect(shard_store));
+}
+
+TEST(ConcurrentStoreReads, EightThreadsMatchASerialReadOnGridAndShards) {
+  // Reads take no lock: eight threads read interleaved partitions and
+  // sub-ranges of one grid store and one shard store at once, through one
+  // simulated platform, and must see the bytes a serial read sees.
+  const auto g = test::small_rmat(2000, 30000);
+  const grid::GridStore grid_store = test::make_grid(g, 6);
+  const shard::ShardStore shard_store = test::make_shards(g, 5);
+  const std::vector<const PartitionedStore*> stores = {&grid_store, &shard_store};
+
+  sim::Platform platform;
+  std::vector<std::vector<std::vector<graph::Edge>>> serial(stores.size());
+  for (std::size_t s = 0; s < stores.size(); ++s) {
+    serial[s].resize(stores[s]->meta().num_partitions);
+    for (std::uint32_t p = 0; p < serial[s].size(); ++p) {
+      stores[s]->read_partition(p, serial[s][p], platform, 0);
+    }
+  }
+  const auto same = [](const graph::Edge* a, const graph::Edge* b, std::size_t n) {
+    return std::memcmp(a, b, n * sizeof(graph::Edge)) == 0;
+  };
+
+  constexpr std::uint32_t kThreads = 8;
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<graph::Edge> buffer;
+      start.arrive_and_wait();
+      for (std::uint32_t round = 0; round < 20; ++round) {
+        for (std::size_t s = 0; s < stores.size(); ++s) {
+          const auto& parts = serial[s];
+          for (std::uint32_t k = 0; k < parts.size(); ++k) {
+            const std::uint32_t p = (t + k + round) % parts.size();
+            const auto& want = parts[p];
+            try {
+              stores[s]->read_partition(p, buffer, platform, t);
+              if (buffer.size() != want.size() || !same(buffer.data(), want.data(), want.size())) {
+                ++mismatches;
+              }
+              if (want.empty()) continue;
+              const graph::EdgeCount first = (t * 7919 + k * 131 + round) % want.size();
+              const graph::EdgeCount count =
+                  std::min<graph::EdgeCount>(want.size() - first, 1 + (t * 37 + round) % 500);
+              buffer.assign(count, graph::Edge{});
+              stores[s]->read_edges(p, first, count, buffer.data(), platform, t);
+              if (!same(buffer.data(), want.data() + first, count)) ++mismatches;
+              reads += 2;
+            } catch (const std::runtime_error&) {
+              ++mismatches;  // a read that throws is a wrong read too
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(reads.load(), kThreads * 20 * 2 * (6 + 5));
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace
